@@ -59,6 +59,23 @@ let uses = function
   | Load { idx; _ } -> operand_uses idx
   | Store { idx; src; _ } -> operand_uses idx @ operand_uses src
 
+let iter_def f = function
+  | Copy { dst; _ } | Unop { dst; _ } | Binop { dst; _ } | Load { dst; _ } ->
+    f dst
+  | Store _ -> ()
+
+let iter_operand_uses f = function Reg r -> f r | Const _ -> ()
+
+let iter_uses f = function
+  | Copy { src; _ } | Unop { src; _ } -> iter_operand_uses f src
+  | Binop { l; r; _ } ->
+    iter_operand_uses f l;
+    iter_operand_uses f r
+  | Load { idx; _ } -> iter_operand_uses f idx
+  | Store { idx; src; _ } ->
+    iter_operand_uses f idx;
+    iter_operand_uses f src
+
 let map_operand f = function Reg r -> f r | Const _ as c -> c
 
 let map_instr_uses f = function
@@ -82,6 +99,11 @@ let term_uses = function
   | Branch { cond; _ } -> operand_uses cond
   | Return (Some op) -> operand_uses op
   | Return None -> []
+
+let iter_term_uses f = function
+  | Jump _ | Return None -> ()
+  | Branch { cond; _ } -> iter_operand_uses f cond
+  | Return (Some op) -> iter_operand_uses f op
 
 let map_term_uses f = function
   | Jump _ as t -> t

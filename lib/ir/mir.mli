@@ -70,10 +70,19 @@ type func = {
 val def : instr -> reg option
 (** The register defined by an instruction, if any. *)
 
+val iter_def : (reg -> unit) -> instr -> unit
+(** Apply to the register {!def} returns, if any; allocation-free. *)
+
 val uses : instr -> reg list
 (** Registers read by an instruction (duplicates possible). *)
 
 val operand_uses : operand -> reg list
+
+val iter_uses : (reg -> unit) -> instr -> unit
+(** Apply to each register {!uses} lists, in the same order; allocation-free. *)
+
+val iter_operand_uses : (reg -> unit) -> operand -> unit
+(** Apply to the register {!operand_uses} lists, if any; allocation-free. *)
 
 val map_instr_uses : (reg -> operand) -> instr -> instr
 (** Substitute every register {e use}; definitions are untouched. Useful for
@@ -83,6 +92,10 @@ val map_instr_def : (reg -> reg) -> instr -> instr
 
 val term_uses : terminator -> reg list
 (** Registers read by the terminator (branch condition, return value). *)
+
+val iter_term_uses : (reg -> unit) -> terminator -> unit
+(** Apply to each register {!term_uses} lists, in the same order;
+    allocation-free. *)
 
 val map_term_uses : (reg -> operand) -> terminator -> terminator
 (** Substitute the terminator's register uses, as {!map_instr_uses}. *)

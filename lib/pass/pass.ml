@@ -301,11 +301,18 @@ let run ?(check = false) ?scratch ?obs passes input =
   (match Pipeline.validate passes with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Pass.run: " ^ msg));
-  Ir.Validate.check_exn input;
-  let ctx = { input; scratch; obs; check } in
   let span name f =
     match obs with Some o -> Obs.span o name f | None -> f ()
   in
+  (* The stage checks are charged to their own span, so a report shows
+     what they cost; with no recorder they are called directly. *)
+  let validate check_exn g =
+    match obs with
+    | None -> check_exn g
+    | Some o -> Obs.span o "validate" (fun () -> check_exn g)
+  in
+  validate Ir.Validate.check_exn input;
+  let ctx = { input; scratch; obs; check } in
   let stages = ref [] in
   let audits = ref [] in
   let ignore_arrays = ref [] in
@@ -314,8 +321,8 @@ let run ?(check = false) ?scratch ?obs passes input =
     (* The producing pass declares its output contract; the middleware
        holds it to it before anything downstream consumes the result. *)
     (match p.shape with
-    | Construct | Transform -> Ssa.Ssa_validate.check_exn g
-    | Conversion | Finish -> Ir.Validate.check_exn g);
+    | Construct | Transform -> validate Ssa.Ssa_validate.check_exn g
+    | Conversion | Finish -> validate Ir.Validate.check_exn g);
     stages := { name = p.stage; func = g; note } :: !stages;
     ignore_arrays := !ignore_arrays @ p.ignore_arrays;
     (if check then

@@ -160,10 +160,12 @@ val run :
 (** Validate the pipeline shape (raising [Invalid_argument] on a
     malformed one) and the input function, then run each pass under the
     middleware: obs span, structural validation of the output, stage
-    capture, check-hook deferral. With [check], the deferred audits and
-    the {!Check.equiv_exn} of output against input (ignoring every
-    pass's [ignore_arrays]) run inside a final ["check"] span —
-    behaviourally identical to the historical hand-written driver. *)
+    capture, check-hook deferral. With [obs], the input and stage
+    validations are charged to a ["validate"] span. With [check], the
+    deferred audits and the {!Check.equiv_exn} of output against input
+    (ignoring every pass's [ignore_arrays]) run inside a final ["check"]
+    span — behaviourally identical to the historical hand-written
+    driver. *)
 
 (** {1 Registry and spec parsing} *)
 

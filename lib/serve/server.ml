@@ -336,6 +336,13 @@ let listener (t : t) () =
         (match Unix.accept t.listen_fd with
         | exception Unix.Unix_error _ -> ()
         | fd, _ ->
+          (* Replies are single short lines; with Nagle on, a pipelined
+             client's next reply can wait out the peer's delayed ACK. *)
+          (match t.listen with
+          | Tcp _ -> (
+            try Unix.setsockopt fd Unix.TCP_NODELAY true
+            with Unix.Unix_error _ -> ())
+          | Unix_path _ -> ());
           let full =
             locked t (fun () ->
                 t.stopping

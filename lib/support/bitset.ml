@@ -31,6 +31,14 @@ let remove t i =
 
 let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
 
+(* Whole bytes get 0xff; the last byte keeps its bits past [capacity] clear,
+   so the result is byte-equal to a set built by [add]ing every element. *)
+let fill t =
+  let full = t.capacity lsr 3 in
+  Bytes.fill t.bits 0 full '\255';
+  let rest = t.capacity land 7 in
+  if rest <> 0 then Bytes.unsafe_set t.bits full (Char.unsafe_chr ((1 lsl rest) - 1))
+
 let copy t = { t with bits = Bytes.copy t.bits }
 
 let popcount_byte =

@@ -23,6 +23,10 @@ val remove : t -> int -> unit
 val clear : t -> unit
 (** Empty the set in place, keeping its capacity. *)
 
+val fill : t -> unit
+(** Make the set full in place: every element [0 .. capacity-1], and
+    nothing else. O(capacity/8). *)
+
 val copy : t -> t
 (** An independent set with the same contents and capacity. *)
 

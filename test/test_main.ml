@@ -6,6 +6,7 @@ let () =
     [
       ("support", Test_support.suite);
       ("ir", Test_ir.suite);
+      ("validate", Test_validate.suite);
       ("analysis", Test_analysis.suite);
       ("parallel-copy", Test_parallel_copy.suite);
       ("ssa", Test_ssa.suite);

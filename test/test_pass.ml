@@ -127,6 +127,29 @@ let test_batch_passes () =
         (Ir.Printer.func_to_string a.output = Ir.Printer.func_to_string b.output))
     seq par
 
+(* With a recorder, the stage checks are charged to a "validate" span
+   (first, since the input is checked before any pass runs) and touch no
+   counter: the counter vector equals the one the same passes charge when
+   called directly, outside the pass manager. Timings are not asserted. *)
+let test_validate_span () =
+  List.iter
+    (fun (e : Workloads.Suite.entry) ->
+      let obs = Obs.create () in
+      ignore (Pass.run ~obs (parse_exn "construct:pruned,coalesce") e.func);
+      check
+        Alcotest.(list string)
+        (e.name ^ ": span names")
+        [ "validate"; "construct"; "convert" ]
+        (List.map fst (Obs.spans obs));
+      let direct = Obs.create () in
+      let ssa, _ = Ssa.Construct.run ~obs:direct e.func in
+      ignore (Core.Coalesce.run ~obs:direct ssa);
+      check
+        Alcotest.(list (pair string int))
+        (e.name ^ ": counters unchanged")
+        (Obs.counters direct) (Obs.counters obs))
+    (Workloads.Suite.kernels ())
+
 let test_run_rejects_bad_shape () =
   let f = Workloads.Suite.(find_exn "saxpy").func in
   checkb "runner rejects shape-invalid pipelines" true
@@ -248,6 +271,8 @@ let suite =
     Alcotest.test_case "harness pipelines one door" `Quick
       test_pipelines_one_door;
     Alcotest.test_case "batch over explicit passes" `Quick test_batch_passes;
+    Alcotest.test_case "stage checks charged to a validate span" `Quick
+      test_validate_span;
     Alcotest.test_case "runner rejects bad shapes" `Quick
       test_run_rejects_bad_shape;
     Alcotest.test_case "ssa_pass extension point" `Quick

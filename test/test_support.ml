@@ -101,6 +101,25 @@ let test_bitset_ops () =
   checkb "equal self" true (Support.Bitset.equal a a);
   checkb "not equal" false (Support.Bitset.equal a b)
 
+(* [fill] leaves the bits past [capacity] in the last byte clear, so a
+   filled set is indistinguishable from one built by [add]ing every
+   element: [equal], [cardinal] and [elements] all agree, at every
+   capacity around the byte boundaries (including 0). Filling a set that
+   already holds elements gives the same full set. *)
+let test_bitset_fill () =
+  for n = 0 to 33 do
+    let name what = Printf.sprintf "capacity %d: %s" n what in
+    let filled = Support.Bitset.create n in
+    if n > 0 then Support.Bitset.add filled (n / 2);
+    Support.Bitset.fill filled;
+    let added = Support.Bitset.of_list n (List.init n Fun.id) in
+    checkb (name "equal to add-built") true (Support.Bitset.equal filled added);
+    checki (name "cardinal") n (Support.Bitset.cardinal filled);
+    check Alcotest.(list int) (name "elements") (List.init n Fun.id)
+      (Support.Bitset.elements filled);
+    checkb (name "is_empty only at 0") (n = 0) (Support.Bitset.is_empty filled)
+  done
+
 let test_bitset_bounds () =
   let s = Support.Bitset.create 8 in
   Alcotest.check_raises "out of range add" (Invalid_argument "Bitset: index out of range")
@@ -294,6 +313,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_uf_matches_naive;
     Alcotest.test_case "bitset basics" `Quick test_bitset_basic;
     Alcotest.test_case "bitset set operations" `Quick test_bitset_ops;
+    Alcotest.test_case "bitset fill" `Quick test_bitset_fill;
     Alcotest.test_case "bitset bounds checking" `Quick test_bitset_bounds;
     QCheck_alcotest.to_alcotest prop_bitset_matches_set;
     Alcotest.test_case "bit matrix" `Quick test_bit_matrix;
