@@ -1074,7 +1074,7 @@ let tables () =
            Check.equiv so that side array is excluded, exactly as the
            pass manager's --check does. *)
         (match
-           Check.equiv ~ignore_arrays:[ Regalloc.spill_array ]
+           Check.equiv ~ignore_arrays:[ a.Regalloc.spill_array ]
              ~reference:e.func a.Regalloc.func
          with
         | Ok () -> ()

@@ -37,7 +37,7 @@ let () =
       let ok =
         reference.return_value = final.return_value
         && reference.arrays
-           = List.remove_assoc Regalloc.spill_array final.arrays
+           = List.remove_assoc alloc.spill_array final.arrays
       in
       Printf.printf "%-10s %7d %7d %7d %7d %7d %7d %7s\n" e.name
         (Ir.num_blocks e.func) nphis

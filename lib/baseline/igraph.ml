@@ -123,15 +123,27 @@ let build_restricted_renamed f cfg live ~find ~members =
 
 let interferes t a b = a <> b && Bit_matrix.get t.matrix (idx t a) (idx t b)
 
-let neighbors t r =
-  let ir = idx t r in
-  let acc = ref [] in
-  for x = t.nodes - 1 downto 0 do
-    if x <> ir && Bit_matrix.get t.matrix ir x then acc := x :: !acc
-  done;
-  !acc
-
-let degree t r = List.length (neighbors t r)
+(* The matrix yields its pairs (i, j), i > j, in triangular order, so row
+   u first receives its own row's j < u ascending, then the i > u of later
+   rows ascending: every row comes out sorted. One array per row rather
+   than one flat array: rows are short, so they are allocated on the minor
+   heap and die there, where a flat array of 2 × edges words would be a
+   fresh major-heap block every allocator round. *)
+let adjacency t =
+  let fill = Array.make t.nodes 0 in
+  Bit_matrix.iter_pairs t.matrix (fun i j ->
+      fill.(i) <- fill.(i) + 1;
+      fill.(j) <- fill.(j) + 1);
+  let rows = Array.map (fun d -> Array.make d 0) fill in
+  Array.fill fill 0 t.nodes 0;
+  let add u v =
+    rows.(u).(fill.(u)) <- v;
+    fill.(u) <- fill.(u) + 1
+  in
+  Bit_matrix.iter_pairs t.matrix (fun i j ->
+      add i j;
+      add j i);
+  rows
 
 let merge t ~into b =
   let ia = idx t into and ib = idx t b in
@@ -143,6 +155,7 @@ let merge t ~into b =
         t.edges <- t.edges + 1
       end
     done
+
 let num_nodes t = t.nodes
 let num_edges t = t.edges
 let matrix_bytes t = Bit_matrix.memory_bytes t.matrix

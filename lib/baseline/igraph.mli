@@ -2,10 +2,16 @@
 
     Names are nodes; an edge means the two names are simultaneously live
     somewhere (with Chaitin's refinement that a copy [d := s] does not by
-    itself make [d] and [s] interfere). The representation is the classic
-    triangular bit matrix plus adjacency lists, so
-    {!memory_bytes} reports exactly the quantity the paper's Table 1
-    compares: n²∕2 bits over the chosen name universe.
+    itself make [d] and [s] interfere). The graph is stored as the
+    classic triangular bit matrix and nothing else, so {!memory_bytes}
+    reports exactly the quantity the paper's Table 1 compares: n²∕2 bits
+    over the chosen name universe. {!interferes} is O(1); {!merge} is
+    O(nodes).
+
+    No adjacency lists are kept beside the matrix. A client that walks
+    neighbourhoods (the register allocator's simplify/select) derives
+    them once, from the finished graph, with {!adjacency}; the coalescers
+    only test single pairs and never build them.
 
     The {b full} build uses every register of the function — what Briggs'
     original allocator does. The {b restricted} build (the paper's Briggs*
@@ -50,15 +56,20 @@ val num_nodes : t -> int
 val num_edges : t -> int
 (** Total number of undirected interference edges. *)
 
-val neighbors : t -> Ir.reg -> Ir.reg list
-(** Interfering registers, ascending. O(nodes) per query (a row scan of the
-    bit matrix); usable only on the full build, where node ids are register
-    ids. *)
-
-val degree : t -> Ir.reg -> int
+val adjacency : t -> int array array
+(** Adjacency lists derived from the current matrix: row [u] lists the
+    nodes interfering with [u], ascending and duplicate-free, so its
+    length is [u]'s degree and the rows hold [2 × num_edges] entries.
+    Node ids are register ids for the full build and compact indices for
+    the restricted ones. Built by one forward pass over the matrix bytes
+    (all-zero words skipped) counting row widths and one filling them:
+    O(nodes²∕128 + edges). A snapshot: later {!merge}s do not show in
+    it. *)
 
 val memory_bytes : t -> int
-(** Bit-matrix bytes plus (for the restricted build) the mapping array. *)
+(** Bit-matrix bytes plus (for the restricted build) the mapping array.
+    Adjacency from {!adjacency} is not counted: this stays the paper's
+    Table 1 quantity. *)
 
 val matrix_bytes : t -> int
-(** Bit-matrix bytes only. *)
+(** Bit-matrix bytes only; again without any {!adjacency}. *)

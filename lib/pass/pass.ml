@@ -3,6 +3,7 @@ type ctx = {
   scratch : Support.Scratch.t option;
   obs : Obs.t option;
   check : bool;
+  mutable reserved_arrays : string list;
 }
 
 type shape = Construct | Transform | Conversion | Finish
@@ -209,10 +210,13 @@ let regalloc ~registers =
     key = Printf.sprintf "regalloc:%d" registers;
     shape = Finish;
     run =
-      (fun _ f ->
+      (fun ctx f ->
         let r =
           Regalloc.run ~options:{ Regalloc.default_options with registers } f
         in
+        (* The slab's name is only [Regalloc.spill_array] when the function
+           does not already use that array itself. *)
+        ctx.reserved_arrays <- r.spill_array :: ctx.reserved_arrays;
         ( r.func,
           Printf.sprintf "%d colors, %d spilled ranges (%d loads, %d stores)"
             r.stats.colors_used r.stats.spilled_ranges r.stats.spill_loads
@@ -312,10 +316,9 @@ let run ?(check = false) ?scratch ?obs passes input =
     | Some o -> Obs.span o "validate" (fun () -> check_exn g)
   in
   validate Ir.Validate.check_exn input;
-  let ctx = { input; scratch; obs; check } in
+  let ctx = { input; scratch; obs; check; reserved_arrays = [] } in
   let stages = ref [] in
   let audits = ref [] in
-  let ignore_arrays = ref [] in
   let run_pass cur p =
     let g, note = span p.span (fun () -> p.run ctx cur) in
     (* The producing pass declares its output contract; the middleware
@@ -324,7 +327,6 @@ let run ?(check = false) ?scratch ?obs passes input =
     | Construct | Transform -> validate Ssa.Ssa_validate.check_exn g
     | Conversion | Finish -> validate Ir.Validate.check_exn g);
     stages := { name = p.stage; func = g; note } :: !stages;
-    ignore_arrays := !ignore_arrays @ p.ignore_arrays;
     (if check then
        match p.check_audit with
        | Some audit -> audits := (fun () -> audit ctx cur) :: !audits
@@ -335,7 +337,8 @@ let run ?(check = false) ?scratch ?obs passes input =
   if check then
     span "check" (fun () ->
         List.iter (fun audit -> audit ()) (List.rev !audits);
-        Check.equiv_exn ~ignore_arrays:!ignore_arrays ~reference:input output);
+        Check.equiv_exn ~ignore_arrays:ctx.reserved_arrays ~reference:input
+          output);
   { input; output; stages = List.rev !stages }
 
 (* ------------------------------------------------------------------ *)

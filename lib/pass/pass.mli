@@ -31,6 +31,12 @@ type ctx = {
       (** per-domain analysis-buffer arena, threaded to the coalescer *)
   obs : Obs.t option;
   check : bool;  (** translation validation requested for this run *)
+  mutable reserved_arrays : string list;
+      (** side arrays the passes run so far reserved for themselves, under
+          the names they actually chose for this function (the
+          allocator's spill slab, see {!Regalloc.result.spill_array}); a
+          pass that writes such an array adds it here, and the final
+          [--check] equivalence ignores exactly these *)
 }
 
 (** What a pass consumes and produces; the middleware picks the matching
@@ -62,8 +68,12 @@ type t = {
       (** under [--check], called with the {e input} of this pass inside
           the final ["check"] span (the coalescer's interference audit) *)
   ignore_arrays : string list;
-      (** side arrays the final equivalence check must ignore (the
-          allocator's private spill slab) *)
+      (** base names of the side arrays the pass may reserve (the
+          allocator's spill slab). The name reserved for a given function
+          can carry a suffix, when the function already uses the base name;
+          {!run} therefore ignores the names reported in
+          [ctx.reserved_arrays], never these. They serve callers that
+          compare outputs by hand on inputs that do not use the names. *)
 }
 
 val ssa_pass :
@@ -116,8 +126,11 @@ val graph_fused : t
 
 val regalloc : registers:int -> t
 (** Chaitin/Briggs allocation to [registers] colors; spec form
-    [regalloc:K]. Contributes {!Regalloc.spill_array} to the equivalence
-    check's ignore list. *)
+    [regalloc:K]. Reports the function's [result.spill_array] in
+    [ctx.reserved_arrays], so the equivalence check ignores the slab the
+    allocator really wrote and still compares a user array that happens to
+    be named {!Regalloc.spill_array}; its [ignore_arrays] is that base
+    name. *)
 
 (** {1 Pipelines} *)
 
@@ -163,9 +176,8 @@ val run :
     capture, check-hook deferral. With [obs], the input and stage
     validations are charged to a ["validate"] span. With [check], the
     deferred audits and the {!Check.equiv_exn} of output against input
-    (ignoring every pass's [ignore_arrays]) run inside a final ["check"]
-    span — behaviourally identical to the historical hand-written
-    driver. *)
+    (ignoring the [ctx.reserved_arrays] the passes reported) run inside a
+    final ["check"] span. *)
 
 (** {1 Registry and spec parsing} *)
 

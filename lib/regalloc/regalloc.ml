@@ -80,17 +80,17 @@ let spill_costs (f : Ir.func) ~weights =
       let charge r = cost.(r) <- cost.(r) +. w in
       List.iter
         (fun i ->
-          List.iter charge (Ir.uses i);
-          Option.iter charge (Ir.def i))
+          Ir.iter_uses charge i;
+          Ir.iter_def charge i)
         b.body;
-      List.iter charge (Ir.term_uses b.term))
+      Ir.iter_term_uses charge b.term)
     f.blocks;
   cost
 
 (* Binary min-heap over register indices — the low-degree worklist. Popping
    always yields the lowest-numbered eligible node, which is exactly the
-   order the reference implementation's restart-from-0 scan produces, so
-   the two variants build identical simplify stacks. *)
+   order a restart-from-0 scan over the nodes produces (the test oracle's
+   simplify loop), so both build identical simplify stacks. *)
 module Min_heap = struct
   type t = { mutable a : int array; mutable size : int }
 
@@ -171,16 +171,21 @@ let spill_candidate ~options ~is_temp ~removed ~degree costs n =
   !best
 
 (* Optimistic select over the simplify stack (most recently removed
-   first). Returns the coloring, or the registers that must be spilled. *)
-let select ~k graph n stack =
+   first). Returns the coloring, or the registers that must be spilled.
+   Every color assigned is below [k], and the set of colors a node's
+   neighbours hold does not depend on the order its row is read in. *)
+let select ~k adj n stack =
   let colors = Array.make n (-1) in
+  let used = Array.make k false in
   let spills = ref [] in
   List.iter
     (fun r ->
-      let used = Array.make k false in
-      List.iter
-        (fun x -> if colors.(x) >= 0 && colors.(x) < k then used.(colors.(x)) <- true)
-        (Igraph.neighbors graph r);
+      Array.fill used 0 k false;
+      Array.iter
+        (fun x ->
+          let c = colors.(x) in
+          if c >= 0 then used.(c) <- true)
+        adj.(r);
       let rec first c = if c >= k then None else if used.(c) then first (c + 1) else Some c in
       match first 0 with
       | Some c -> colors.(r) <- c
@@ -190,14 +195,16 @@ let select ~k graph n stack =
 
 (* One simplify/select attempt, worklist form: a node enters the low-degree
    heap exactly once, when its degree first drops below k (degrees only
-   ever decrease), so simplify is O(n log n + E) instead of the reference
-   implementation's O(n²) restart-the-scan loop. By the heap-order argument
-   above the two produce identical stacks, hence identical colorings — the
-   qcheck differential in test/test_regalloc.ml pins this. *)
+   ever decrease). Degrees, removals and select read the adjacency rows
+   derived once from the finished matrix, so apart from the spill-candidate
+   scans this is O(n log n + E) per round. By the heap-order argument above
+   the result equals the restart-the-scan loop's — the qcheck differential
+   in test/test_regalloc.ml pins this against test/regalloc_ref.ml. *)
 let try_color ~options ~is_temp (f : Ir.func) graph costs =
   let n = f.nregs in
   let k = options.registers in
-  let degree = Array.init n (fun r -> Igraph.degree graph r) in
+  let adj = Igraph.adjacency graph in
+  let degree = Array.map Array.length adj in
   let removed = Array.make n false in
   let stack = ref [] in
   let remaining = ref n in
@@ -216,13 +223,13 @@ let try_color ~options ~is_temp (f : Ir.func) graph costs =
     removed.(r) <- true;
     stack := r :: !stack;
     decr remaining;
-    List.iter
+    Array.iter
       (fun x ->
         if not removed.(x) then begin
           degree.(x) <- degree.(x) - 1;
           if degree.(x) < k then enqueue x
         end)
-      (Igraph.neighbors graph r)
+      adj.(r)
   in
   while !remaining > 0 do
     match Min_heap.pop low with
@@ -233,37 +240,7 @@ let try_color ~options ~is_temp (f : Ir.func) graph costs =
     | None ->
       remove (spill_candidate ~options ~is_temp ~removed ~degree costs n)
   done;
-  select ~k graph n !stack
-
-(* The pre-worklist simplify loop, kept verbatim as the oracle for the
-   differential test: restart the full 0..n-1 scan after every removal. *)
-let try_color_reference ~options ~is_temp (f : Ir.func) graph costs =
-  let n = f.nregs in
-  let k = options.registers in
-  let degree = Array.init n (fun r -> Igraph.degree graph r) in
-  let removed = Array.make n false in
-  let stack = ref [] in
-  let remaining = ref n in
-  let remove r =
-    removed.(r) <- true;
-    stack := r :: !stack;
-    decr remaining;
-    List.iter
-      (fun x -> if not removed.(x) then degree.(x) <- degree.(x) - 1)
-      (Igraph.neighbors graph r)
-  in
-  while !remaining > 0 do
-    let found = ref false in
-    for r = 0 to n - 1 do
-      if (not removed.(r)) && degree.(r) < k && not !found then begin
-        found := true;
-        remove r
-      end
-    done;
-    if not !found then
-      remove (spill_candidate ~options ~is_temp ~removed ~degree costs n)
-  done;
-  select ~k graph n !stack
+  select ~k adj n !stack
 
 (* Rewrite spilled registers: every definition goes to a fresh temporary
    followed by a store to the register's slot; every use becomes a load into
@@ -279,27 +256,29 @@ let insert_spill_code (f : Ir.func) spills ~spill_array ~slot_of ~loads ~stores 
   in
   let is_spilled r = Imap.mem r spills in
   let slot r = Ir.Const (Ir.Int (slot_of r)) in
+  (* One load per distinct spilled register an instruction or terminator
+     reads (at most three), prepended to [pre] in reverse order; returns
+     the register → temporary substitution as an assoc list. *)
+  let load_uses uses pre =
+    List.fold_left
+      (fun subst r ->
+        if is_spilled r && not (List.mem_assoc r subst) then begin
+          let t = fresh "ld" in
+          incr loads;
+          pre := Ir.Load { dst = t; arr = spill_array; idx = slot r } :: !pre;
+          (r, t) :: subst
+        end
+        else subst)
+      [] uses
+  in
+  let substitute subst r =
+    match List.assoc_opt r subst with Some t -> Ir.Reg t | None -> Ir.Reg r
+  in
   let rewrite_instr i =
     (* Loads for spilled uses. *)
     let pre = ref [] in
-    let subst = Hashtbl.create 4 in
-    List.iter
-      (fun r ->
-        if is_spilled r && not (Hashtbl.mem subst r) then begin
-          let t = fresh "ld" in
-          Hashtbl.add subst r t;
-          incr loads;
-          pre := Ir.Load { dst = t; arr = spill_array; idx = slot r } :: !pre
-        end)
-      (Ir.uses i);
-    let i =
-      Ir.map_instr_uses
-        (fun r ->
-          match Hashtbl.find_opt subst r with
-          | Some t -> Ir.Reg t
-          | None -> Ir.Reg r)
-        i
-    in
+    let subst = load_uses (Ir.uses i) pre in
+    let i = if subst = [] then i else Ir.map_instr_uses (substitute subst) i in
     (* Store for a spilled definition. *)
     match Ir.def i with
     | Some d when is_spilled d ->
@@ -311,22 +290,8 @@ let insert_spill_code (f : Ir.func) spills ~spill_array ~slot_of ~loads ~stores 
     | _ -> List.rev !pre @ [ i ]
   in
   let rewrite_term term pre_acc =
-    let subst = Hashtbl.create 4 in
-    List.iter
-      (fun r ->
-        if is_spilled r && not (Hashtbl.mem subst r) then begin
-          let t = fresh "ld" in
-          Hashtbl.add subst r t;
-          incr loads;
-          pre_acc := Ir.Load { dst = t; arr = spill_array; idx = slot r } :: !pre_acc
-        end)
-      (Ir.term_uses term);
-    Ir.map_term_uses
-      (fun r ->
-        match Hashtbl.find_opt subst r with
-        | Some t -> Ir.Reg t
-        | None -> Ir.Reg r)
-      term
+    let subst = load_uses (Ir.term_uses term) pre_acc in
+    if subst = [] then term else Ir.map_term_uses (substitute subst) term
   in
   let blocks =
     Array.map

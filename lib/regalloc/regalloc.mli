@@ -64,18 +64,9 @@ val try_color :
     [options.registers]; [Error spills] lists the live ranges Briggs'
     optimistic select could not color. [is_temp] marks spill temporaries
     (considered for spilling only when nothing else remains); the float
-    array gives per-register spill costs. *)
-
-val try_color_reference :
-  options:options ->
-  is_temp:(int -> bool) ->
-  Ir.func ->
-  Baseline.Igraph.t ->
-  float array ->
-  (int array, int list) Stdlib.result
-(** The pre-worklist simplify loop (full rescans, O(n²)), kept as the
-    oracle for the differential test that pins {!try_color} to identical
-    colorings. *)
+    array gives per-register spill costs. The graph must be a full build;
+    its {!Baseline.Igraph.adjacency} is derived once, so the attempt costs
+    O(n log n + E) plus O(n) per pessimistic spill-candidate pick. *)
 
 val run : ?options:options -> Ir.func -> result
 (** The input must be φ-free. Raises {!Out_of_rounds} if spilling fails to

@@ -44,6 +44,52 @@ let count t =
   Bytes.iter (fun c -> n := !n + popcount_byte c) t.bits;
   !n
 
+(* De Bruijn table: a 32-bit power of two [p] is bit number
+   [debruijn.[((p * 0x077CB531) land 0xFFFF_FFFF) lsr 27]]. *)
+let debruijn =
+  let s = Bytes.create 32 in
+  for b = 0 to 31 do
+    Bytes.set s ((((1 lsl b) * 0x077CB531) land 0xFFFF_FFFF) lsr 27) (Char.chr b)
+  done;
+  Bytes.to_string s
+
+let iter_pairs t f =
+  let bits = t.bits in
+  (* Row [i] holds the triangular indices [rs, rs + i). Set bits arrive in
+     increasing index order, so the row cursor only ever moves forward. *)
+  let i = ref 1 and rs = ref 0 in
+  (* The set bits of [x] < 2³², whose bit 0 is triangular index [base],
+     lowest first. *)
+  let visit base x =
+    let x = ref x in
+    while !x <> 0 do
+      let low = !x land - !x in
+      x := !x lxor low;
+      let k =
+        base
+        + Char.code
+            (String.unsafe_get debruijn
+               (((low * 0x077CB531) land 0xFFFF_FFFF) lsr 27))
+      in
+      while k >= !rs + !i do
+        rs := !rs + !i;
+        incr i
+      done;
+      f !i (k - !rs)
+    done
+  in
+  let words = Bytes.length bits / 8 in
+  for w = 0 to words - 1 do
+    let v = Bytes.get_int64_le bits (8 * w) in
+    if not (Int64.equal v 0L) then begin
+      visit (64 * w) (Int64.to_int v land 0xFFFF_FFFF);
+      visit ((64 * w) + 32) (Int64.to_int (Int64.shift_right_logical v 32))
+    end
+  done;
+  for b = 8 * words to Bytes.length bits - 1 do
+    visit (8 * b) (Char.code (Bytes.unsafe_get bits b))
+  done
+
 let memory_bytes t = Bytes.length t.bits
 
 let pp ppf t =

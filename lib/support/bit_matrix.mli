@@ -23,6 +23,12 @@ val clear : t -> unit
 val count : t -> int
 (** Number of distinct pairs set. *)
 
+val iter_pairs : t -> (int -> int -> unit) -> unit
+(** [iter_pairs m f] calls [f i j] once per pair set, with [i > j], in
+    increasing triangular order (by [i], then [j]). One forward pass over
+    the backing bytes that skips all-zero 64-bit words, so its cost is
+    [size²/128] word reads plus one call per pair. *)
+
 val memory_bytes : t -> int
 (** Bytes of the backing bit vector — the quantity Table 1 reports. *)
 

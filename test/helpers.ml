@@ -46,6 +46,40 @@ let diamond () =
   Ir.Builder.terminate b join (Return (Some (Reg x)));
   Ir.Builder.finish b
 
+(* A function whose own data lives in arrays named "$spill" and "$spill.1",
+   the names the register allocator would otherwise reserve for its spill
+   slab. A parameter and six simultaneously-live loads form a 7-clique, so
+   k = 3 must spill. test/fixtures/hostile_spill.ir is this function,
+   printed. *)
+let hostile_spill_func () =
+  let b = Ir.Builder.create "hostile" in
+  let p = Ir.Builder.add_param ~name:"a" b in
+  let entry = Ir.Builder.add_block b in
+  let push i = Ir.Builder.push b entry i in
+  push (Ir.Store { arr = "$spill"; idx = Ir.Const (Ir.Int 0); src = Ir.Reg p });
+  push
+    (Ir.Store
+       { arr = "$spill.1"; idx = Ir.Const (Ir.Int 0); src = Ir.Const (Ir.Int 42) });
+  let loads =
+    List.init 6 (fun i ->
+        let t = Ir.Builder.fresh_reg b in
+        push (Ir.Load { dst = t; arr = "$spill"; idx = Ir.Const (Ir.Int i) });
+        t)
+  in
+  let sum =
+    List.fold_left
+      (fun acc t ->
+        let d = Ir.Builder.fresh_reg b in
+        push (Ir.Binop { op = Ir.Add; dst = d; l = Ir.Reg acc; r = Ir.Reg t });
+        d)
+      p loads
+  in
+  (* Write the sum back into user memory so the final arrays are sensitive
+     to any aliasing between user data and spill slots. *)
+  push (Ir.Store { arr = "$spill"; idx = Ir.Const (Ir.Int 1); src = Ir.Reg sum });
+  Ir.Builder.terminate b entry (Ir.Return (Some (Ir.Reg sum)));
+  Ir.Builder.finish b
+
 (* A while loop: i := 0; while (i < n) i := i + 1; ret i. *)
 let counting_loop () =
   let b = Ir.Builder.create "loop" in

@@ -24,8 +24,8 @@ let test_igraph_straight () =
   let g = graph_of f in
   checkb "x-y edge" true (Baseline.Igraph.interferes g x y);
   checkb "x-r no edge" false (Baseline.Igraph.interferes g x r);
-  checki "degree x" 1 (Baseline.Igraph.degree g x);
-  check Alcotest.(list int) "neighbors x" [ y ] (Baseline.Igraph.neighbors g x)
+  let adj = Baseline.Igraph.adjacency g in
+  check Alcotest.(list int) "neighbors x" [ y ] (Array.to_list adj.(x))
 
 let test_igraph_copy_rule () =
   (* y := x with x dead afterwards: Chaitin's rule removes the src from the
@@ -114,6 +114,78 @@ let test_merge () =
   (* Merging y into x must not lose z's interference. *)
   Baseline.Igraph.merge g ~into:x y;
   checkb "x keeps z edge" true (Baseline.Igraph.interferes g x z)
+
+(* [Igraph.adjacency] against the matrix it is derived from: every row is
+   strictly ascending (so duplicate-free), each row is exactly the set of
+   nodes [interferes] reports for that node (which makes the rows
+   symmetric), and the rows hold 2 × num_edges entries. *)
+let check_adjacency name g =
+  let module Igraph = Baseline.Igraph in
+  let adj = Igraph.adjacency g in
+  let n = Igraph.num_nodes g in
+  checki (name ^ ": nodes") n (Array.length adj);
+  let total = ref 0 in
+  for u = 0 to n - 1 do
+    let row = Array.to_list adj.(u) in
+    let rec ascending = function
+      | a :: (b :: _ as rest) -> a < b && ascending rest
+      | _ -> true
+    in
+    if not (ascending row) then
+      Alcotest.failf "%s: row %d not strictly ascending" name u;
+    let expected = List.filter (Igraph.interferes g u) (List.init n Fun.id) in
+    if row <> expected then
+      Alcotest.failf "%s: row %d differs from the matrix" name u;
+    List.iter
+      (fun v ->
+        if not (Array.mem u adj.(v)) then
+          Alcotest.failf "%s: edge %d-%d not symmetric" name u v)
+      row;
+    total := !total + Array.length adj.(u)
+  done;
+  checki (name ^ ": degrees sum to 2 × edges") (2 * Igraph.num_edges g) !total
+
+(* The allocator's input shape: SSA through the paper's coalescer. *)
+let coalesced_graph f = graph_of (Core.Coalesce.run_exn (Ssa.Construct.run_exn f))
+
+let test_adjacency_matches_matrix () =
+  List.iter
+    (fun (e : Workloads.Suite.entry) ->
+      check_adjacency e.name (coalesced_graph e.func);
+      check_adjacency (e.name ^ " (non-SSA input)") (graph_of e.func))
+    (Lazy.force kernels @ Workloads.Suite.adversarial ());
+  List.iter
+    (fun shape ->
+      List.iter
+        (fun size ->
+          let f = Workloads.Generator.adversarial shape ~size in
+          check_adjacency
+            (Printf.sprintf "%s/%d" (Workloads.Generator.shape_name shape) size)
+            (coalesced_graph f))
+        [ 3; 17 ])
+    Workloads.Generator.shapes;
+  let spec =
+    { Workloads.Corpus.seed = 13; total = 24; mix = Workloads.Corpus.default_mix }
+  in
+  for i = 0 to spec.total - 1 do
+    check_adjacency
+      (Printf.sprintf "corpus item %d" i)
+      (coalesced_graph (Workloads.Corpus.item spec i))
+  done;
+  List.iter
+    (fun seed -> check_adjacency (Printf.sprintf "random %d" seed)
+        (coalesced_graph (random_program seed 40)))
+    [ 1; 2; 3; 4; 5 ]
+
+(* After merges the rows follow the updated matrix and edge count. *)
+let test_adjacency_after_merge () =
+  let e = Workloads.Suite.find_exn "tomcatv" in
+  let g = coalesced_graph e.func in
+  let n = Baseline.Igraph.num_nodes g in
+  check_adjacency "before merge" g;
+  Baseline.Igraph.merge g ~into:0 (n - 1);
+  Baseline.Igraph.merge g ~into:(n / 2) 1;
+  check_adjacency "after merge" g
 
 let instantiate (e : Workloads.Suite.entry) =
   Ssa.Destruct_naive.run_exn (Ir.Edge_split.run (Ssa.Construct.run_exn e.func))
@@ -316,6 +388,10 @@ let suite =
     Alcotest.test_case "igraph: restricted build" `Quick test_igraph_restricted;
     Alcotest.test_case "igraph: rejects phis" `Quick test_igraph_rejects_phis;
     Alcotest.test_case "igraph: merge keeps edges" `Quick test_merge;
+    Alcotest.test_case "igraph: adjacency matches the matrix" `Quick
+      test_adjacency_matches_matrix;
+    Alcotest.test_case "igraph: adjacency after merge" `Quick
+      test_adjacency_after_merge;
     Alcotest.test_case "briggs = briggs* on kernels" `Slow test_briggs_equals_star;
     Alcotest.test_case "briggs* correct on kernels" `Slow test_briggs_correct;
     QCheck_alcotest.to_alcotest prop_briggs_random;

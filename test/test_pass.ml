@@ -260,6 +260,48 @@ let test_copy_prop_suite_totals () =
     (Printf.sprintf "suite totals: %d (copy-prop) <= %d (bare)" with_cp base)
     true (with_cp <= base)
 
+(* --check ignores the spill slab the allocator really wrote, not the base
+   name: on a function whose own data lives in "$spill", the slab is
+   "$spill.2", so a correct allocation passes and a wrong store into the
+   user's "$spill" is still caught. *)
+let test_check_reserved_spill_array () =
+  let f = hostile_spill_func () in
+  let pipeline = parse_exn "construct:pruned,coalesce,regalloc:3" in
+  let r = Pass.run ~check:true pipeline f in
+  let spills = ref 0 in
+  Ir.iter_instrs r.output (fun _ -> function
+    | Ir.Load { arr = "$spill.2"; _ } | Ir.Store { arr = "$spill.2"; _ } ->
+      incr spills
+    | _ -> ());
+  checkb "allocation spilled into $spill.2" true (!spills > 0);
+  (* The same pipeline, with the allocator's output storing to the wrong
+     slot of the user's array. *)
+  let wrong_slot = function
+    | Ir.Store ({ arr = "$spill"; idx = Ir.Const (Ir.Int 1); _ } as s) ->
+      Ir.Store { s with idx = Ir.Const (Ir.Int 2) }
+    | i -> i
+  in
+  let broken (p : Pass.t) =
+    if p.name <> "regalloc" then p
+    else
+      {
+        p with
+        run =
+          (fun ctx g ->
+            let out, note = p.run ctx g in
+            let blocks =
+              Array.map
+                (fun (b : Ir.block) ->
+                  { b with body = List.map wrong_slot b.body })
+                out.Ir.blocks
+            in
+            ({ out with blocks }, note));
+      }
+  in
+  match Pass.run ~check:true (List.map broken pipeline) f with
+  | _ -> Alcotest.fail "a wrong store to the user's $spill went unnoticed"
+  | exception Check.Failed _ -> ()
+
 let suite =
   [
     Alcotest.test_case "registry" `Quick test_registry;
@@ -279,6 +321,8 @@ let suite =
       test_ssa_pass_extension;
     Alcotest.test_case "copy-prop suite totals" `Quick
       test_copy_prop_suite_totals;
+    Alcotest.test_case "--check ignores the reserved spill array only" `Quick
+      test_check_reserved_spill_array;
     QCheck_alcotest.to_alcotest prop_ordering_differential;
     QCheck_alcotest.to_alcotest prop_copy_prop_monotone;
   ]

@@ -123,35 +123,7 @@ let prop_random_allocation =
    data aliased with spill slots — the allocator has to reserve a name the
    function provably never mentions. *)
 let test_hostile_spill_array_name () =
-  let b = Ir.Builder.create "hostile" in
-  let p = Ir.Builder.add_param ~name:"a" b in
-  let entry = Ir.Builder.add_block b in
-  let push i = Ir.Builder.push b entry i in
-  (* User data in the very arrays the allocator would love to reserve. *)
-  push (Ir.Store { arr = "$spill"; idx = Ir.Const (Ir.Int 0); src = Ir.Reg p });
-  push
-    (Ir.Store
-       { arr = "$spill.1"; idx = Ir.Const (Ir.Int 0); src = Ir.Const (Ir.Int 42) });
-  (* Six simultaneously-live loads: a 7-clique with [p], so k=3 must spill. *)
-  let loads =
-    List.init 6 (fun i ->
-        let t = Ir.Builder.fresh_reg b in
-        push (Ir.Load { dst = t; arr = "$spill"; idx = Ir.Const (Ir.Int i) });
-        t)
-  in
-  let sum =
-    List.fold_left
-      (fun acc t ->
-        let d = Ir.Builder.fresh_reg b in
-        push (Ir.Binop { op = Ir.Add; dst = d; l = Ir.Reg acc; r = Ir.Reg t });
-        d)
-      p loads
-  in
-  (* Write the sum back into user memory so the final arrays are sensitive
-     to any aliasing between user data and spill slots. *)
-  push (Ir.Store { arr = "$spill"; idx = Ir.Const (Ir.Int 1); src = Ir.Reg sum });
-  Ir.Builder.terminate b entry (Ir.Return (Some (Ir.Reg sum)));
-  let f = Ir.Builder.finish b in
+  let f = hostile_spill_func () in
   let r = Regalloc.run ~options:(options 3) f in
   checkb "forced spills" true (r.stats.spilled_ranges > 0);
   checkb "reserved name is fresh" true
@@ -191,7 +163,7 @@ let prop_try_color_differential =
         (fun metric ->
           let opt = { (options k) with spill_metric = metric } in
           Regalloc.try_color ~options:opt ~is_temp f graph costs
-          = Regalloc.try_color_reference ~options:opt ~is_temp f graph costs)
+          = Regalloc_ref.try_color ~options:opt ~is_temp f graph costs)
         [ Regalloc.Cost_over_degree; Regalloc.Plain_cost ])
 
 (* Stats pinned before the worklist-simplify and hoisted-loop-weights

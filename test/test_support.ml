@@ -305,12 +305,37 @@ let prop_csr_matches_model =
            (fun u -> row_of u = model_row u && trow_of u = model_trow u)
            (List.init n Fun.id))
 
+(* [iter_pairs] yields exactly the pairs [get] reports, (i, j) with
+   i > j, in triangular order — over sizes whose byte count leaves a
+   partial last word, and with dense and sparse fills. *)
+let prop_bit_matrix_iter_pairs =
+  QCheck.Test.make ~count:200 ~name:"bit matrix iter_pairs = get scan"
+    QCheck.(triple (int_bound 90) (int_bound 1000) (int_bound 100))
+    (fun (n, seed, density) ->
+      let m = Support.Bit_matrix.create n in
+      let rng = Random.State.make [| seed |] in
+      for i = 0 to n - 1 do
+        for j = 0 to i - 1 do
+          if Random.State.int rng 100 < density then Support.Bit_matrix.set m i j
+        done
+      done;
+      let expected = ref [] in
+      for i = 0 to n - 1 do
+        for j = 0 to i - 1 do
+          if Support.Bit_matrix.get m i j then expected := (i, j) :: !expected
+        done
+      done;
+      let got = ref [] in
+      Support.Bit_matrix.iter_pairs m (fun i j -> got := (i, j) :: !got);
+      !got = !expected)
+
 let suite =
   [
     Alcotest.test_case "union-find basics" `Quick test_uf_basic;
     Alcotest.test_case "union-find groups" `Quick test_uf_groups;
     Alcotest.test_case "union-find grow" `Quick test_uf_grow;
     QCheck_alcotest.to_alcotest prop_uf_matches_naive;
+    QCheck_alcotest.to_alcotest prop_bit_matrix_iter_pairs;
     Alcotest.test_case "bitset basics" `Quick test_bitset_basic;
     Alcotest.test_case "bitset set operations" `Quick test_bitset_ops;
     Alcotest.test_case "bitset fill" `Quick test_bitset_fill;
