@@ -32,21 +32,19 @@ let compute_renamed_into ~scratch ?obs ~find (f : Ir.func) cfg =
   Array.iter
     (fun (b : Ir.block) ->
       let l = b.label in
-      List.iter (fun (p : Ir.phi) -> Bitset.add kill.(l) (find p.dst)) b.phis;
+      let gen = gen.(l) and kill = kill.(l) in
+      let use r =
+        let r = find r in
+        if not (Bitset.mem kill r) then Bitset.add gen r
+      in
+      let def d = Bitset.add kill (find d) in
+      List.iter (fun (p : Ir.phi) -> def p.dst) b.phis;
       List.iter
         (fun i ->
-          List.iter
-            (fun r ->
-              let r = find r in
-              if not (Bitset.mem kill.(l) r) then Bitset.add gen.(l) r)
-            (Ir.uses i);
-          Option.iter (fun d -> Bitset.add kill.(l) (find d)) (Ir.def i))
+          Ir.iter_uses use i;
+          Ir.iter_def def i)
         b.body;
-      List.iter
-        (fun r ->
-          let r = find r in
-          if not (Bitset.mem kill.(l) r) then Bitset.add gen.(l) r)
-        (Ir.term_uses b.term))
+      Ir.iter_term_uses use b.term)
     f.blocks;
   (* φ argument registers are uses at the end of the predecessor they flow
      out of: seed them straight into the predecessor's live-out. *)
@@ -56,9 +54,9 @@ let compute_renamed_into ~scratch ?obs ~find (f : Ir.func) cfg =
         (fun (p : Ir.phi) ->
           List.iter
             (fun (pl, op) ->
-              List.iter
+              Ir.iter_operand_uses
                 (fun r -> Bitset.add live_out.(pl) (find r))
-                (Ir.operand_uses op))
+                op)
             p.args)
         b.phis)
     f.blocks;

@@ -10,24 +10,23 @@ let escape s =
     s;
   Buffer.contents buf
 
-let block_label ~instructions f (b : Mir.block) =
+let block_label ~instructions names (b : Mir.block) =
   if not instructions then Printf.sprintf "b%d" b.label
   else begin
     let buf = Buffer.create 128 in
     Buffer.add_string buf (Printf.sprintf "b%d:\n" b.label);
-    List.iter
-      (fun p ->
-        Buffer.add_string buf (Format.asprintf "%a\n" (Printer.pp_phi f) p))
-      b.phis;
-    List.iter
-      (fun i ->
-        Buffer.add_string buf (Format.asprintf "%a\n" (Printer.pp_instr f) i))
-      b.body;
-    Buffer.add_string buf (Format.asprintf "%a\n" (Printer.pp_terminator f) b.term);
+    let line add x =
+      add names buf x;
+      Buffer.add_char buf '\n'
+    in
+    List.iter (line Printer.add_phi) b.phis;
+    List.iter (line Printer.add_instr) b.body;
+    line Printer.add_terminator b.term;
     Buffer.contents buf
   end
 
 let cfg ?(instructions = true) (f : Mir.func) =
+  let names = Printer.reg_names f in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "digraph \"%s\" {\n  node [shape=box, fontname=monospace];\n"
@@ -36,7 +35,7 @@ let cfg ?(instructions = true) (f : Mir.func) =
     (fun (b : Mir.block) ->
       Buffer.add_string buf
         (Printf.sprintf "  b%d [label=\"%s\"%s];\n" b.label
-           (escape (block_label ~instructions f b))
+           (escape (block_label ~instructions names b))
            (if b.label = f.entry then ", penwidth=2" else ""));
       List.iter
         (fun s -> Buffer.add_string buf (Printf.sprintf "  b%d -> b%d;\n" b.label s))

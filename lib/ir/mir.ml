@@ -154,7 +154,7 @@ let count_phi_args f =
 let reg_name f r =
   match Support.Imap.find_opt r f.hints with
   | Some s -> s
-  | None -> Printf.sprintf "r%d" r
+  | None -> "r" ^ string_of_int r
 
 (* Word-count model of the in-memory representation: a block record and its
    two lists, ~6 words per instruction record plus operands, 4 words per phi

@@ -122,8 +122,15 @@ let value_of line t =
     | Some x -> Mir.Float x
     | None -> fail line "bad literal %S" t)
 
+let reserved_set =
+  let t = Hashtbl.create 32 in
+  List.iter (fun m -> Hashtbl.replace t m ()) reserved;
+  t
+
+let is_register_name t = not (Hashtbl.mem reserved_set t || is_label_tok t)
+
 let reg_of st line t =
-  if List.mem t reserved then
+  if Hashtbl.mem reserved_set t then
     fail line "register name %S collides with a mnemonic" t;
   if is_label_tok t then fail line "register name %S looks like a label" t;
   match List.assoc_opt t st.regs with

@@ -28,4 +28,9 @@ exception Error of string * int
 val func_of_string : string -> Mir.func
 (** Parse exactly one function. *)
 
+val is_register_name : string -> bool
+(** [false] for the names a register may not have: a mnemonic, or a
+    block label ([b] and digits). {!Printer} renames registers whose hint
+    is one of these. *)
+
 val funcs_of_string : string -> Mir.func list

@@ -28,7 +28,16 @@ val run :
 (** Convert a strict function to SSA form. Default [pruning] is [Pruned],
     default [fold_copies] is [true]. The input must pass
     {!Ir.Validate.run}. [obs] charges [Obs.Phis_inserted] and
-    [Obs.Copies_folded] (and the pruning liveness pass, when run). *)
+    [Obs.Copies_folded] (and the pruning liveness pass, when run).
+
+    Cost, for N blocks, V variables and I instructions: dominators, one
+    def walk and one renaming walk, plus φ placement in
+    O(N + V + Σ|DF| visits) — the worklist arrays are allocated once per
+    call and stamped with the current variable, never cleared. [Pruned]
+    adds a liveness solve over V-bit sets (O(V/64) per set operation);
+    [Semi_pruned] one use walk. The hints of the result name each SSA
+    register [<base>.<k>], where [<base>] is the variable's hint or
+    [r<v>]. *)
 
 val run_exn :
   ?pruning:pruning -> ?fold_copies:bool -> ?obs:Obs.t -> Ir.func -> Ir.func

@@ -1,4 +1,5 @@
-(** Symmetric boolean matrix over a triangular bit vector.
+(** Symmetric boolean matrix over a triangular bit vector (a {!Bitset} of
+    [n*(n-1)/2] bits).
 
     This is the classic Chaitin interference-graph representation the paper's
     baseline uses: for [n] names it allocates exactly [n*(n-1)/2] bits (plus a
@@ -21,7 +22,7 @@ val clear : t -> unit
 (** Erase every pair, keeping the dimension. *)
 
 val count : t -> int
-(** Number of distinct pairs set. *)
+(** Number of distinct pairs set, O(size²/128). *)
 
 val iter_pairs : t -> (int -> int -> unit) -> unit
 (** [iter_pairs m f] calls [f i j] once per pair set, with [i > j], in

@@ -2,7 +2,11 @@
 
     Used for the live-in/live-out sets of the liveness analysis and the
     transient live sets of interference-graph construction. Capacity is fixed
-    at creation; elements are [0 .. capacity-1]. *)
+    at creation; elements are [0 .. capacity-1]. Storage is
+    [(capacity+7)/8] bytes; the whole-set operations ({!cardinal},
+    {!union_into}, {!diff_into}, {!inter_into}, {!iter}, {!is_empty}) walk
+    it as 64-bit words, finishing the trailing bytes one at a time, and
+    allocate nothing. *)
 
 type t
 
@@ -31,26 +35,28 @@ val copy : t -> t
 (** An independent set with the same contents and capacity. *)
 
 val cardinal : t -> int
-(** Number of elements. O(capacity/8). *)
+(** Number of elements. O(capacity/64). *)
 
 val equal : t -> t -> bool
 (** Structural equality of contents; capacities must match. *)
 
 val union_into : dst:t -> t -> bool
 (** [union_into ~dst src] adds all of [src] to [dst]; returns [true] iff
-    [dst] changed. Capacities must match. *)
+    [dst] changed. Capacities must match. O(capacity/64). *)
 
 val diff_into : dst:t -> t -> unit
-(** [diff_into ~dst src] removes all of [src] from [dst]. *)
+(** [diff_into ~dst src] removes all of [src] from [dst]. O(capacity/64). *)
 
 val inter_into : dst:t -> t -> unit
-(** [inter_into ~dst src] keeps in [dst] only elements also in [src]. *)
+(** [inter_into ~dst src] keeps in [dst] only elements also in [src].
+    O(capacity/64). *)
 
 val blit : src:t -> dst:t -> unit
 (** Overwrite [dst] with the contents of [src]. *)
 
 val iter : (int -> unit) -> t -> unit
-(** Iterate elements in increasing order. *)
+(** Iterate elements in increasing order. O(capacity/64) plus one call per
+    element: all-zero words are skipped. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
@@ -58,12 +64,13 @@ val elements : t -> int list
 (** The elements in increasing order. *)
 
 val is_empty : t -> bool
-(** [true] iff the set has no elements, O(capacity/8). *)
+(** [true] iff the set has no elements, O(capacity/64). *)
 
 val of_list : int -> int list -> t
 (** [of_list n xs] is the capacity-[n] set of the elements of [xs]. *)
 
 val memory_bytes : t -> int
-(** Bytes of backing storage, for the memory-accounting experiments. *)
+(** Bytes of backing storage, for the memory-accounting experiments:
+    [(capacity+7)/8]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -214,6 +214,56 @@ let prop_print_parse_roundtrip =
           Ir.Printer.func_to_string reparsed = printed)
         stages)
 
+(* Distinct registers print distinctly: the source variable "r3" beside
+   the hintless temporary register 3 used to print both as "r3" (and as
+   "r3.0" after construction), so the printed form — the cache key —
+   named a different program. *)
+let test_print_names_injective () =
+  let f =
+    Frontend.Lower.compile_one
+      "func f(a) { r3 = a - 1; x = (a * 2) - r3; return x; }"
+  in
+  checkb "temporary renamed" true
+    (contains (Ir.Printer.func_to_string f) "r3$1 := mul a, 2");
+  let ssa = Ssa.Construct.run_exn f in
+  List.iter
+    (fun (stage, g) ->
+      let printed = Ir.Printer.func_to_string g in
+      let reparsed = Ir.Parse.func_of_string printed in
+      check Alcotest.string (stage ^ ": fixed point") printed
+        (Ir.Printer.func_to_string reparsed);
+      checki (stage ^ ": registers") 4 reparsed.nregs;
+      match Check.equiv ~reference:g reparsed with
+      | Ok () -> ()
+      | Error _ -> Alcotest.failf "%s: reparsed function is not equivalent" stage)
+    [ ("input", f); ("ssa", ssa); ("coalesced", Core.Coalesce.run_exn ssa) ];
+  (* Source variables named like a label or a mnemonic, which the parser
+     refuses as register names. *)
+  let k =
+    Frontend.Lower.compile_one
+      "func g(a) { b1 = a + 1; add = b1 * 2; return add; }"
+  in
+  let printed = Ir.Printer.func_to_string k in
+  checkb "label-like and mnemonic names renamed" true
+    (contains printed "b1$1 := add a, 1" && contains printed "ret add$1");
+  (match Check.equiv ~reference:k (Ir.Parse.func_of_string printed) with
+  | Ok () -> ()
+  | Error _ -> Alcotest.failf "label-like names: not equivalent");
+  (* Same-hint registers, and a suffix that is already taken. *)
+  let b = Ir.Builder.create "g" in
+  let x0 = Ir.Builder.fresh_reg ~name:"x" b in
+  let x1 = Ir.Builder.fresh_reg ~name:"x$1" b in
+  let x2 = Ir.Builder.fresh_reg ~name:"x" b in
+  let l = Ir.Builder.add_block b in
+  Ir.Builder.push b l (Copy { dst = x0; src = Const (Int 1) });
+  Ir.Builder.push b l (Copy { dst = x1; src = Const (Int 2) });
+  Ir.Builder.push b l (Copy { dst = x2; src = Reg x0 });
+  Ir.Builder.terminate b l (Return (Some (Reg x1)));
+  let g = Ir.Builder.finish b in
+  check
+    Alcotest.(array string)
+    "names" [| "x"; "x$1"; "x$2" |] (Ir.Printer.reg_names g)
+
 let test_dot_export () =
   let f = counting_loop () in
   let d = Ir.Dot.cfg f in
@@ -232,6 +282,8 @@ let suite =
     Alcotest.test_case "dot export" `Quick test_dot_export;
     Alcotest.test_case "parse: hand-written source" `Quick test_parse_roundtrip_hand;
     Alcotest.test_case "parse: error cases" `Quick test_parse_errors;
+    Alcotest.test_case "printed register names are distinct" `Quick
+      test_print_names_injective;
     QCheck_alcotest.to_alcotest prop_print_parse_roundtrip;
     Alcotest.test_case "builder rejects unterminated" `Quick test_builder_unterminated;
     Alcotest.test_case "builder rejects double terminate" `Quick

@@ -210,6 +210,86 @@ let prop_roundtrip =
         && outcomes_equal (Interp.run ~args:run_args f) (Interp.run ~args:run_args out)
       end)
 
+(* Differential: the stamp-based construction against the pre-stamp
+   oracle (test/construct_ref.ml) — same printed function, hints, register
+   count and stats under every pruning, with and without copy folding. *)
+let prunings = Ssa.Construct.[ Pruned; Semi_pruned; Minimal ]
+
+let construct_diff (f : Ir.func) =
+  List.concat_map
+    (fun pruning ->
+      List.filter_map
+        (fun fold_copies ->
+          let g, st = Ssa.Construct.run ~pruning ~fold_copies f in
+          let g', st' = Construct_ref.run ~pruning ~fold_copies f in
+          let what =
+            if Ir.Printer.func_to_string g <> Ir.Printer.func_to_string g'
+            then Some "printed function"
+            else if Support.Imap.bindings g.hints
+                    <> Support.Imap.bindings g'.hints
+            then Some "hints"
+            else if g.nregs <> g'.nregs then Some "nregs"
+            else if st <> st' then Some "stats"
+            else None
+          in
+          Option.map
+            (fun w ->
+              Printf.sprintf "%s differs (%s, fold %b)" w
+                (match pruning with
+                | Pruned -> "pruned"
+                | Semi_pruned -> "semi-pruned"
+                | Minimal -> "minimal")
+                fold_copies)
+            what)
+        [ true; false ])
+    prunings
+
+let check_construct_identical name f =
+  match construct_diff f with
+  | [] -> ()
+  | d :: _ -> Alcotest.failf "%s: %s" name d
+
+let test_construct_matches_reference () =
+  List.iter
+    (fun (name, f) -> check_construct_identical name f)
+    [ ("straight", straight_line ()); ("diamond", diamond ());
+      ("loop", counting_loop ()); ("hostile", hostile_spill_func ()) ];
+  List.iter
+    (fun (e : Workloads.Suite.entry) -> check_construct_identical e.name e.func)
+    (Lazy.force kernels @ Workloads.Suite.adversarial ()
+    @ Workloads.Suite.large ());
+  List.iter
+    (fun shape ->
+      List.iter
+        (fun size ->
+          check_construct_identical
+            (Printf.sprintf "%s/%d" (Workloads.Generator.shape_name shape) size)
+            (Workloads.Generator.adversarial shape ~size))
+        [ 1; 3; 17 ])
+    Workloads.Generator.shapes;
+  let spec =
+    { Workloads.Corpus.seed = 13; total = 24; mix = Workloads.Corpus.default_mix }
+  in
+  for i = 0 to spec.total - 1 do
+    check_construct_identical
+      (Printf.sprintf "corpus item %d" i)
+      (Workloads.Corpus.item spec i)
+  done
+
+(* Random structured programs, and random strict CFGs with back edges and
+   unreachable blocks. *)
+let prop_construct_matches_reference =
+  QCheck.Test.make ~count:80 ~name:"construct = reference construct on random programs"
+    QCheck.(triple (int_bound 10_000) (int_range 2 60) bool)
+    (fun (seed, size, cfg) ->
+      let f =
+        if cfg then random_cfg (make_rand seed) ~blocks:size ~regs:(1 + (size / 4))
+        else random_program seed size
+      in
+      match construct_diff f with
+      | [] -> true
+      | d :: _ -> QCheck.Test.fail_report d)
+
 let suite =
   [
     Alcotest.test_case "construct: loop" `Quick test_construct_loop;
@@ -232,4 +312,7 @@ let suite =
       test_destruct_requires_split;
     Alcotest.test_case "swap loop through standard" `Quick test_swap_through_standard;
     QCheck_alcotest.to_alcotest prop_roundtrip;
+    Alcotest.test_case "construct matches the reference construction" `Slow
+      test_construct_matches_reference;
+    QCheck_alcotest.to_alcotest prop_construct_matches_reference;
   ]

@@ -305,6 +305,79 @@ let prop_csr_matches_model =
            (fun u -> row_of u = model_row u && trow_of u = model_trow u)
            (List.init n Fun.id))
 
+(* The word-wide whole-set operations against an [int list] model: two
+   random sets of the given capacity and densities, every result compared
+   with the model's elements and with a set built by [add]ing them —
+   [equal] compares the backing bytes, so any stray bit past [capacity]
+   shows up as a mismatch. *)
+let bitset_matches_model n seed da db =
+  let module B = Support.Bitset in
+  let rng = Random.State.make [| seed |] in
+  let pick density =
+    List.filter (fun _ -> Random.State.int rng 100 < density) (List.init n Fun.id)
+  in
+  let ma = pick da and mb = pick db in
+  let all = List.init n Fun.id in
+  let a = B.of_list n ma and b = B.of_list n mb in
+  let is model s = B.elements s = model && B.equal s (B.of_list n model) in
+  let iterated s =
+    let got = ref [] in
+    B.iter (fun i -> got := i :: !got) s;
+    List.rev !got
+  in
+  let union = List.sort_uniq compare (ma @ mb) in
+  let diff = List.filter (fun x -> not (List.mem x mb)) ma in
+  let inter = List.filter (fun x -> List.mem x mb) ma in
+  let u = B.copy a in
+  let changed = B.union_into ~dst:u b in
+  let d = B.copy a in
+  B.diff_into ~dst:d b;
+  let i = B.copy a in
+  B.inter_into ~dst:i b;
+  let full = B.copy a in
+  B.fill full;
+  let complement = B.copy full in
+  B.diff_into ~dst:complement a;
+  let within = B.copy full in
+  B.inter_into ~dst:within b;
+  let full_again = B.copy a in
+  let full_changed = B.union_into ~dst:full_again full in
+  is union u
+  && changed = (union <> ma)
+  && (not (B.union_into ~dst:u b))
+  && is diff d && is inter i
+  && iterated a = ma
+  && B.fold (fun x acc -> x :: acc) b [] = List.rev mb
+  && B.is_empty a = (ma = [])
+  && B.cardinal a = List.length ma
+  && B.cardinal u = List.length union
+  && B.equal a b = (ma = mb)
+  && is all full && iterated full = all && B.cardinal full = n
+  && is (List.filter (fun x -> not (List.mem x ma)) all) complement
+  && is mb within
+  && is all full_again
+  && full_changed = (List.length ma <> n)
+  && B.memory_bytes a = (n + 7) / 8
+
+(* Capacities around the 64-bit word boundaries, where a set is all
+   words, all tail bytes, or both. *)
+let word_boundaries = [ 0; 1; 7; 8; 9; 63; 64; 65; 127; 128; 129 ]
+
+let test_bitset_word_boundaries () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (seed, da, db) ->
+          if not (bitset_matches_model n seed da db) then
+            Alcotest.failf "capacity %d, seed %d, densities %d/%d" n seed da db)
+        [ (1, 0, 0); (2, 3, 50); (3, 50, 50); (4, 100, 10); (5, 97, 100) ])
+    word_boundaries
+
+let prop_bitset_word_paths =
+  QCheck.Test.make ~count:300 ~name:"bitset word paths match an int-list model"
+    QCheck.(quad (int_bound 200) (int_bound 10_000) (int_bound 100) (int_bound 100))
+    (fun (n, seed, da, db) -> bitset_matches_model n seed da db)
+
 (* [iter_pairs] yields exactly the pairs [get] reports, (i, j) with
    i > j, in triangular order — over sizes whose byte count leaves a
    partial last word, and with dense and sparse fills. *)
@@ -341,6 +414,9 @@ let suite =
     Alcotest.test_case "bitset fill" `Quick test_bitset_fill;
     Alcotest.test_case "bitset bounds checking" `Quick test_bitset_bounds;
     QCheck_alcotest.to_alcotest prop_bitset_matches_set;
+    Alcotest.test_case "bitset at word boundaries" `Quick
+      test_bitset_word_boundaries;
+    QCheck_alcotest.to_alcotest prop_bitset_word_paths;
     Alcotest.test_case "bit matrix" `Quick test_bit_matrix;
     QCheck_alcotest.to_alcotest prop_bit_matrix;
     Alcotest.test_case "vec" `Quick test_vec;
