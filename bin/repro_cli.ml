@@ -12,29 +12,12 @@ let exit_runtime_fault = 3
 
 exception Input_error of string
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Mini-language sources by default; files ending in .ir hold the textual
-   IR syntax of Ir.Printer/Ir.Parse. *)
+   IR syntax of Ir.Printer/Ir.Parse. The serve protocol's loader, so a
+   file gets the same checks and diagnostics in both. *)
 let load path =
-  let source = read_file path in
-  if Filename.check_suffix path ".ir" then begin
-    match Ir.Parse.funcs_of_string source with
-    | [] -> raise (Input_error (path ^ ": no functions in input"))
-    | fs -> fs
-    | exception Ir.Parse.Error (msg, line) ->
-      raise (Input_error (Printf.sprintf "%s:%d: %s" path line msg))
-  end
-  else
-    match Frontend.Lower.compile source with
-    | [] -> raise (Input_error (path ^ ": no functions in input"))
-    | fs -> fs
-    | exception Frontend.Parser.Error (msg, line) ->
-      raise (Input_error (Printf.sprintf "%s:%d: %s" path line msg))
+  try Serve.Protocol.load path
+  with Serve.Protocol.Bad_request msg -> raise (Input_error msg)
 
 let print_func title f =
   Printf.printf "==== %s ====\n%s\n\n" title (Ir.Printer.func_to_string f)

@@ -63,14 +63,21 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Mini-language sources by default; files ending in .ir hold the textual
-   IR syntax of Ir.Printer/Ir.Parse. Same grammar and diagnostics as the
-   CLI's file loading. *)
+   IR syntax of Ir.Printer/Ir.Parse. A parsed function must also pass
+   Ir.Validate: the pipeline's input check would otherwise fail on it as
+   an internal error. The CLI loads its files here too. *)
 let load path =
   let source = read_file path in
   if Filename.check_suffix path ".ir" then begin
     match Ir.Parse.funcs_of_string source with
     | [] -> raise (Bad_request (path ^ ": no functions in input"))
-    | fs -> fs
+    | fs -> (
+      match List.concat_map Ir.Validate.run fs with
+      | [] -> fs
+      | e :: _ ->
+        raise
+          (Bad_request
+             (Format.asprintf "%s: invalid IR: %a" path Ir.Validate.pp_error e)))
     | exception Ir.Parse.Error (msg, line) ->
       raise (Bad_request (Printf.sprintf "%s:%d: %s" path line msg))
   end

@@ -48,9 +48,10 @@ val parse_inline : string -> Ir.func list
     errors or an empty program. *)
 
 val load : string -> Ir.func list
-(** Load a source file (mini-language, or textual IR for [.ir] paths) —
-    the same grammar and diagnostics as the CLI's file loading, with
-    {!Bad_request} in place of its private error exception. *)
+(** Load a source file (mini-language, or textual IR for [.ir] paths);
+    the CLI loads its files with it too. Raises {!Bad_request} on a parse
+    error, an empty file, or an [.ir] function that fails
+    {!Ir.Validate.run}, naming the path and the first fault. *)
 
 val one_line : string -> string
 (** Trim a possibly multi-line diagnostic to its first line, which

@@ -241,58 +241,78 @@ let prop_stream_equals_batch =
            expected got
       && Obs.counters obs_ref = Obs.counters obs_stream)
 
-(* Bounded memory: stream a corpus 10× larger and the heap high-water must
+(* Words still reachable: the live words after a full major collection.
+   The heap's size would follow major-GC pacing, and with it the whole
+   process's live set; this counts only what is retained. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* Bounded memory: stream a corpus 10× larger and the retained words must
    stay within a small constant factor, while materializing the same
-   corpus (inputs and reports all live at once) must cost strictly more
-   than streaming it. Factors are deliberately loose — heap_words moves
-   in GC-sized steps — but a reorder-window leak (O(n) retained reports)
-   overshoots 4× by an order of magnitude. *)
+   corpus (inputs and reports all live at once) must retain strictly more
+   than streaming it. *)
 let test_stream_bounded_memory () =
   let spec total =
     { Workloads.Corpus.seed = 11; total; mix = Workloads.Corpus.default_mix }
   in
-  let streaming total =
-    let watch = Harness.Measure.heap_watch () in
-    Engine.Pool.with_pool ~jobs:4 (fun pool ->
+  let pipeline = Driver.Pipeline.passes_of_config Driver.Pipeline.default in
+  (* Peak retained words above the start, sampled at ten evenly spaced
+     reports the consumer takes, so a short run is sampled as often as a
+     long one; [keep] makes the consumer hold every report. Two domains:
+     a full major collection stops every domain, and with more domains
+     than cores each one can take tens of milliseconds. *)
+  let streaming ?(keep = false) total =
+    let kept = ref [] and peak = ref 0 in
+    let every = total / 10 in
+    let base = live_words () in
+    Engine.Pool.with_pool ~jobs:2 (fun pool ->
         Driver.Pipeline.stream_passes_in pool
           ~producer:(Workloads.Corpus.producer (spec total))
-          ~consumer:(fun _ _ -> Harness.Measure.heap_sample watch)
-          (Driver.Pipeline.passes_of_config Driver.Pipeline.default));
-    Harness.Measure.heap_growth_words watch
+          ~consumer:(fun seq r ->
+            if keep then kept := r :: !kept;
+            if (seq + 1) mod every = 0 then
+              peak := max !peak (live_words () - base))
+          pipeline);
+    ignore (Sys.opaque_identity !kept);
+    !peak
   in
   let materialized total =
-    let watch = Harness.Measure.heap_watch () in
-    Engine.Pool.with_pool ~jobs:4 (fun pool ->
+    let base = live_words () in
+    Engine.Pool.with_pool ~jobs:2 (fun pool ->
         let next = Workloads.Corpus.producer (spec total) in
         let rec all acc =
           match next () with Some f -> all (f :: acc) | None -> List.rev acc
         in
         let reports =
-          Driver.Pipeline.compile_batch_passes_in pool
-            (Driver.Pipeline.passes_of_config Driver.Pipeline.default)
-            (all [])
+          Driver.Pipeline.compile_batch_passes_in pool pipeline (all [])
         in
+        let retained = live_words () - base in
         ignore (Sys.opaque_identity reports);
-        Harness.Measure.heap_sample watch);
-    Harness.Measure.heap_growth_words watch
+        retained)
   in
   let small = streaming 100 in
   let large = streaming 1000 in
   let mat = materialized 1000 in
-  (* Factor 6, not a tight bound: major-GC pacing admits garbage in
-     proportion to the whole process's live set, so the measured
-     high-water drifts with whatever earlier tests left memoized (e.g.
-     the suite's large numeric routines) even though the streaming
-     window itself is fixed. Linear growth would be ~10x. *)
+  (* A bounded window retains about as much at 1000 items as at 100
+     (about 2x, from in-flight items at the sampled points); holding every
+     report reads about 10x, which the same measurement must catch (the
+     leaky consumer below). *)
+  let flat small large = large <= 6 * small in
   checkb
-    (Printf.sprintf "streaming peak flat across 10x corpus (%d -> %d words)"
+    (Printf.sprintf "streaming retention flat across 10x corpus (%d -> %d words)"
        small large)
-    true
-    (large <= 6 * small);
+    true (flat small large);
   checkb
     (Printf.sprintf "streaming beats materialized at 1000 funcs (%d < %d)"
        large mat)
-    true (large < mat)
+    true (large < mat);
+  let leak_small = streaming ~keep:true 100 in
+  let leak_large = streaming ~keep:true 1000 in
+  checkb
+    (Printf.sprintf "a consumer keeping every report is caught (%d -> %d words)"
+       leak_small leak_large)
+    false (flat leak_small leak_large)
 
 (* ------------------------------------------------------------------ *)
 (* Batch compilation determinism                                      *)

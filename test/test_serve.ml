@@ -410,6 +410,45 @@ let test_unix_socket () =
       disconnect (ic, oc));
   checkb "socket file unlinked on stop" false (Sys.file_exists path)
 
+(* Hostile .ir files over TCP: a label too large for an int, a label
+   that used to size a 300-million-entry block array, and a valid parse
+   that fails validation each answer status=2 (not the internal-error
+   status), and the connection keeps serving. *)
+let test_hostile_ir_over_tcp () =
+  let file text =
+    let path = Filename.temp_file "repro-hostile" ".ir" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let paths =
+    List.map file
+      [
+        "func f(a) {\nb0:\n  ret a\nb99999999999999999999:\n  ret a\n}\n";
+        "func f(a) {\nb300000000:\n  ret a\n}\n";
+        "func f(a) {\nb0:\n  x := phi [b1: a]\n  jump b1\nb1:\n  ret x\n}\n";
+      ]
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove paths)
+    (fun () ->
+      with_server ~config:(cached_config ~jobs:1 ~queue:16 ~per_conn:4)
+        (fun server ->
+          let ic, oc = connect server in
+          List.iter
+            (fun path ->
+              send oc ("compile " ^ path);
+              let reply = input_line ic in
+              checkb ("bad request: " ^ reply) true
+                (String.starts_with ~prefix:"err status=2 " reply))
+            paths;
+          send oc "inline func u(n) { return n + 1; }";
+          let reply = input_line ic in
+          checkb ("still serving: " ^ reply) true
+            (String.starts_with ~prefix:"ok " reply);
+          send oc "quit";
+          checks "bye" "ok bye" (input_line ic);
+          disconnect (ic, oc)))
+
 let count_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 (* Start, load, stop: afterwards no sessions survive, stop is idempotent,
@@ -464,6 +503,8 @@ let suite =
       test_busy_shed_accounting;
     Alcotest.test_case "tcp max-conns refusal" `Quick test_max_conns_refusal;
     Alcotest.test_case "unix-domain transport" `Quick test_unix_socket;
+    Alcotest.test_case "tcp hostile .ir is a bad request" `Quick
+      test_hostile_ir_over_tcp;
     Alcotest.test_case "clean drain, no leaks" `Quick
       test_clean_drain_no_leaks;
   ]
